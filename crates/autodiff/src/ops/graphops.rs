@@ -145,7 +145,13 @@ struct GatherRowsOp {
     idx: Arc<Vec<u32>>,
 }
 impl Op for GatherRowsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         // Scatter-add to arbitrary destination rows: different gather
         // indices may collide on one target row, so this stays serial.
@@ -196,7 +202,13 @@ struct SegmentSumOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentSumOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         // Scratch, not zeros: the segments partition the rows, so every edge
@@ -256,7 +268,13 @@ struct SegmentMeanOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentMeanOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         // Scratch is safe despite the empty-segment `continue`: a segment
@@ -330,7 +348,13 @@ struct SegmentMaxOp {
     winners: Arc<Vec<u32>>,
 }
 impl Op for SegmentMaxOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         let winners = &self.winners;
@@ -403,7 +427,13 @@ struct SegmentSoftmaxOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentSoftmaxOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let segs = &self.segs;
         // Scratch: every edge row of the score column is assigned below.
         let mut g = pool::scratch(out.rows(), 1);
@@ -484,7 +514,13 @@ impl Drop for SegmentAttentionOp {
     }
 }
 impl Op for SegmentAttentionOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[1].shape();
         let msgs = inputs[1];
         let segs = &self.segs;
@@ -618,7 +654,13 @@ impl Drop for GatherAttentionOp {
     }
 }
 impl Op for GatherAttentionOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let xv = inputs[1];
         let (nrows, cols) = xv.shape();
         let segs = &self.segs;
@@ -738,7 +780,13 @@ impl Op for GatherAttentionOp {
 /// tensor (attention weighting of gathered neighbor features).
 struct MulColBroadcastOp;
 impl Op for MulColBroadcastOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let (a, w) = (inputs[0], inputs[1]);
         // Scratch: the row loop assigns every element of both planes.

@@ -234,6 +234,12 @@ pub fn stats() -> PoolStats {
     })
 }
 
+/// Buffers of exactly `len` floats currently held by this thread's pool.
+#[cfg(test)]
+pub(crate) fn held(len: usize) -> usize {
+    POOL.with(|p| p.borrow().classes.get(&len).map_or(0, Vec::len))
+}
+
 /// Empties the calling thread's pool and zeroes its counters.
 ///
 /// Benchmarks and tests call this between scenarios so hit rates and

@@ -47,11 +47,25 @@ impl ParamId {
 
 /// One differentiable operation.
 ///
-/// Implementations receive the forward output, the incoming gradient and the
-/// forward values of their inputs, and return one optional gradient per
-/// input (in the same order the inputs were wired on the tape).
+/// Implementations receive the forward output, the incoming gradient, the
+/// forward values of their inputs and the sweep's gradient-need mask for
+/// those inputs, and return one optional gradient per input (in the same
+/// order the inputs were wired on the tape).
+///
+/// `needs[k]` is false when no parameter the sweep differentiates into lies
+/// below input `k` (a constant, or only weights during an α-only
+/// [`Tape::backward_for`]). An op may return `None` for a masked input and
+/// skip that work; `matmul`, `mul_scalar_tensor` and `add` do. The driver
+/// drops any gradient still returned for a masked input, so an op that
+/// ignores the mask stays correct and only wastes the work.
 pub(crate) trait Op: Send + Sync {
-    fn backward(&self, out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>>;
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        needs: &[bool],
+    ) -> Vec<Option<Matrix>>;
 
     /// Human-readable name for error messages.
     fn name(&self) -> &'static str;
@@ -106,7 +120,7 @@ pub(crate) trait Op: Send + Sync {
 /// Leaf op for constants / external inputs: no gradient flows past it.
 struct InputOp;
 impl Op for InputOp {
-    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix], _: &[bool]) -> Vec<Option<Matrix>> {
         Vec::new()
     }
     fn name(&self) -> &'static str {
@@ -127,7 +141,7 @@ impl Op for InputOp {
 /// accumulated gradient into [`Gradients`].
 struct ParamOp;
 impl Op for ParamOp {
-    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix], _: &[bool]) -> Vec<Option<Matrix>> {
         Vec::new()
     }
     fn name(&self) -> &'static str {
@@ -279,79 +293,174 @@ impl Tape {
     /// # Panics
     /// Panics if `output` is not `1 x 1`.
     pub fn backward(&self, output: Tensor) -> Gradients {
+        self.assert_scalar(output);
+        self.backward_seeded(output, Matrix::scalar(1.0))
+    }
+
+    /// Reverse sweep from the scalar `output` that differentiates into
+    /// `params` only.
+    ///
+    /// Nodes below which no listed parameter lies are skipped, so an
+    /// α-only sweep never computes weight gradients. Every returned
+    /// gradient is bitwise identical to the same slot of
+    /// [`Tape::backward`]: the skipped work only ever fed unlisted nodes.
+    ///
+    /// # Panics
+    /// Panics if `output` is not `1 x 1`.
+    pub fn backward_for(&self, output: Tensor, params: &[ParamId]) -> Gradients {
+        self.assert_scalar(output);
+        crate::parallel::timed("tape_backward", || {
+            self.backward_seeded_inner(output, Matrix::scalar(1.0), Some(params))
+        })
+    }
+
+    /// Reverse sweep with an explicit seed gradient (same shape as `output`).
+    pub fn backward_seeded(&self, output: Tensor, seed: Matrix) -> Gradients {
+        crate::parallel::timed("tape_backward", || self.backward_seeded_inner(output, seed, None))
+    }
+
+    fn assert_scalar(&self, output: Tensor) {
         assert_eq!(
             self.value(output).shape(),
             (1, 1),
             "backward requires a scalar output, got {:?}",
             self.value(output).shape()
         );
-        self.backward_seeded(output, Matrix::scalar(1.0))
     }
 
-    /// Reverse sweep with an explicit seed gradient (same shape as `output`).
-    pub fn backward_seeded(&self, output: Tensor, seed: Matrix) -> Gradients {
-        crate::parallel::timed("tape_backward", || self.backward_seeded_inner(output, seed))
-    }
-
-    fn backward_seeded_inner(&self, output: Tensor, seed: Matrix) -> Gradients {
+    /// The one reverse-sweep driver behind [`Tape::backward_seeded`] and
+    /// [`Tape::backward_for`]; `params: None` differentiates into every
+    /// parameter.
+    fn backward_seeded_inner(
+        &self,
+        output: Tensor,
+        seed: Matrix,
+        params: Option<&[ParamId]>,
+    ) -> Gradients {
         assert_eq!(seed.shape(), self.value(output).shape(), "seed gradient shape mismatch");
+        let needs = self.grad_needs(params);
+        let mut skipped = 0u64;
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[output.0] = Some(seed);
+        if needs[output.0] {
+            grads[output.0] = Some(seed);
+        }
         let mut result = Gradients::default();
 
+        // Only needed nodes ever hold a gradient, and every needed node is
+        // a parameter or has inputs.
         for i in (0..self.nodes.len()).rev() {
             let Some(grad) = grads[i].take() else { continue };
-            let node = &self.nodes[i];
-            if let Some(pid) = node.param {
+            if let Some(pid) = self.nodes[i].param {
                 result.accumulate(pid, grad);
                 continue;
             }
-            if node.inputs.is_empty() {
-                // Constant/input leaf: the gradient stops here.
-                pool::put(grad);
-                continue;
-            }
-            let input_vals: Vec<&Matrix> = node.inputs.iter().map(|t| self.value(*t)).collect();
-            let input_grads = node.op.backward(&node.value, &grad, &input_vals);
-            assert_eq!(
-                input_grads.len(),
-                node.inputs.len(),
-                "op `{}` returned {} gradients for {} inputs",
-                node.op.name(),
-                input_grads.len(),
-                node.inputs.len()
-            );
-            for (t, g) in node.inputs.iter().zip(input_grads) {
-                let Some(g) = g else { continue };
-                assert_eq!(
-                    g.shape(),
-                    self.value(*t).shape(),
-                    "op `{}` (node {i}) produced a gradient of the wrong shape \
-                     for input node {}",
-                    node.op.name(),
-                    t.0
-                );
-                match &mut grads[t.0] {
-                    Some(acc) => {
-                        acc.add_assign(&g);
-                        pool::put(g);
-                    }
-                    slot @ None => *slot = Some(g),
-                }
+            let shape_of = |v: usize| self.nodes[v].value.shape();
+            for (t, g) in self.input_grads(i, &grad, &needs, shape_of, &mut skipped) {
+                accumulate(&mut grads[t], g);
             }
             // `grad` was fully distributed to the inputs; recycle it.
             pool::put(grad);
         }
+        self.emit_prune_counters(output, &needs, skipped);
         result
+    }
+
+    /// Gradient-need mask of one sweep: `needs[i]` is true when node `i` is
+    /// a requested parameter (`None` requests every parameter) or any of
+    /// its inputs needs a gradient. One forward pass over the nodes.
+    fn grad_needs(&self, params: Option<&[ParamId]>) -> Vec<bool> {
+        let requested = params.map(ParamBits::of);
+        let mut needs: Vec<bool> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let need = match node.param {
+                Some(pid) => requested.as_ref().is_none_or(|bits| bits.contains(pid)),
+                None => node.inputs.iter().any(|t| needs[t.0]),
+            };
+            needs.push(need);
+        }
+        needs
+    }
+
+    /// Runs node `i`'s backward under the mask and returns the gradients
+    /// of its needed inputs, each checked against `shape_of(input)`.
+    /// Masked inputs are counted in `skipped`; a gradient an op still
+    /// returns for one goes straight back to the pool.
+    fn input_grads(
+        &self,
+        i: usize,
+        grad: &Matrix,
+        needs: &[bool],
+        shape_of: impl Fn(usize) -> (usize, usize),
+        skipped: &mut u64,
+    ) -> Vec<(usize, Matrix)> {
+        let node = &self.nodes[i];
+        let input_vals: Vec<&Matrix> =
+            node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
+        let input_needs: Vec<bool> = node.inputs.iter().map(|t| needs[t.0]).collect();
+        let input_grads = node.op.backward(&node.value, grad, &input_vals, &input_needs);
+        assert_eq!(
+            input_grads.len(),
+            node.inputs.len(),
+            "op `{}` returned {} gradients for {} inputs",
+            node.op.name(),
+            input_grads.len(),
+            node.inputs.len()
+        );
+        let mut kept = Vec::with_capacity(node.inputs.len());
+        for ((t, need), g) in node.inputs.iter().zip(input_needs).zip(input_grads) {
+            if !need {
+                *skipped += 1;
+                if let Some(g) = g {
+                    pool::put(g);
+                }
+                continue;
+            }
+            let Some(g) = g else { continue };
+            assert_eq!(
+                g.shape(),
+                shape_of(t.0),
+                "op `{}` (node {i}) produced a gradient of the wrong shape for input node {}",
+                node.op.name(),
+                t.0
+            );
+            kept.push((t.0, g));
+        }
+        kept
+    }
+
+    /// Emits `tape.backward.pruned_nodes` (op nodes reachable from
+    /// `output` that the mask kept out of the sweep) and
+    /// `tape.backward.skipped_input_grads` (masked inputs of the ops that
+    /// ran). The reachability pass only runs under an active recorder.
+    fn emit_prune_counters(&self, output: Tensor, needs: &[bool], skipped: u64) {
+        if !sane_telemetry::active() {
+            return;
+        }
+        let mut live = vec![false; self.nodes.len()];
+        live[output.0] = true;
+        let mut pruned = 0u64;
+        for i in (0..self.nodes.len()).rev() {
+            let node = &self.nodes[i];
+            if !live[i] || node.inputs.is_empty() {
+                continue;
+            }
+            pruned += u64::from(!needs[i]);
+            for t in &node.inputs {
+                live[t.0] = true;
+            }
+        }
+        sane_telemetry::counter_add("tape.backward.pruned_nodes", pruned);
+        sane_telemetry::counter_add("tape.backward.skipped_input_grads", skipped);
     }
 
     /// Reverse sweep with memory instrumentation and, optionally,
     /// plan-driven buffer release.
     ///
     /// With `plan: None` this is an instrumented [`Tape::backward`]: the
-    /// same sweep, plus exact accounting of resident bytes (all forward
-    /// values held by the tape, plus every gradient buffer in flight,
-    /// including accumulated parameter gradients). With a verified
+    /// same sweep under the same gradient-need mask, plus exact accounting
+    /// of resident bytes (all forward values held by the tape, plus every
+    /// gradient buffer in flight, including accumulated parameter
+    /// gradients). With a verified
     /// [`MemPlan`], each non-pinned value is additionally *released* into
     /// the [`crate::pool`] the moment its planned interval closes — values
     /// dead before backward go first, the rest retire step by step — so
@@ -372,12 +481,7 @@ impl Tape {
         output: Tensor,
         plan: Option<&MemPlan>,
     ) -> (Gradients, ExecStats) {
-        assert_eq!(
-            self.value(output).shape(),
-            (1, 1),
-            "backward requires a scalar output, got {:?}",
-            self.value(output).shape()
-        );
+        self.assert_scalar(output);
         let n = self.nodes.len();
         if let Some(plan) = plan {
             assert_eq!(plan.values.len(), n, "memory plan does not cover this tape");
@@ -432,66 +536,41 @@ impl Tape {
             }
         }
 
-        let seed = Matrix::scalar(1.0);
+        // The planner's read model stays conservative: it assumes every
+        // op's backward runs, so a pruned sweep only reads a subset of what
+        // the plan keeps alive and every planned release is still safe.
+        let needs = self.grad_needs(None);
+        let mut skipped = 0u64;
         let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        grad_bytes += seed.len() * 4;
-        grads[output.0] = Some(seed);
+        if needs[output.0] {
+            let seed = Matrix::scalar(1.0);
+            grad_bytes += seed.len() * 4;
+            grads[output.0] = Some(seed);
+        }
         peak = peak.max(value_bytes + grad_bytes);
         let mut result = Gradients::default();
 
         for i in (0..n).rev() {
             if let Some(grad) = grads[i].take() {
-                let node = &self.nodes[i];
-                if let Some(pid) = node.param {
+                if let Some(pid) = self.nodes[i].param {
                     // Merging into an existing accumulator recycles `grad`;
                     // a fresh slot keeps it resident until the caller is
                     // done with the gradient set.
-                    let existing = result.get(pid).is_some();
                     let bytes = grad.len() * 4;
-                    result.accumulate(pid, grad);
-                    if existing {
+                    if !result.accumulate(pid, grad) {
                         grad_bytes -= bytes;
                     }
-                } else if node.inputs.is_empty() {
-                    grad_bytes -= grad.len() * 4;
-                    pool::put(grad);
                 } else {
-                    let input_vals: Vec<&Matrix> =
-                        node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
-                    let input_grads = node.op.backward(&node.value, &grad, &input_vals);
-                    assert_eq!(
-                        input_grads.len(),
-                        node.inputs.len(),
-                        "op `{}` returned {} gradients for {} inputs",
-                        node.op.name(),
-                        input_grads.len(),
-                        node.inputs.len()
-                    );
-                    for (t, g) in node.inputs.iter().zip(input_grads) {
-                        let Some(g) = g else { continue };
-                        // Released inputs have lost their shape; the plan
-                        // remembers what was recorded.
-                        let expected = match plan {
-                            Some(p) => p.values[t.0].shape,
-                            None => self.nodes[t.0].value.shape(),
-                        };
-                        assert_eq!(
-                            g.shape(),
-                            expected,
-                            "op `{}` (node {i}) produced a gradient of the wrong \
-                             shape for input node {}",
-                            node.op.name(),
-                            t.0
-                        );
-                        match &mut grads[t.0] {
-                            Some(acc) => {
-                                acc.add_assign(&g);
-                                pool::put(g);
-                            }
-                            slot @ None => {
-                                grad_bytes += g.len() * 4;
-                                *slot = Some(g);
-                            }
+                    // Released inputs have lost their shape; the plan
+                    // remembers what was recorded.
+                    let shape_of = |v: usize| match plan {
+                        Some(p) => p.values[v].shape,
+                        None => self.nodes[v].value.shape(),
+                    };
+                    for (t, g) in self.input_grads(i, &grad, &needs, shape_of, &mut skipped) {
+                        let bytes = g.len() * 4;
+                        if accumulate(&mut grads[t], g) {
+                            grad_bytes += bytes;
                         }
                     }
                     grad_bytes -= grad.len() * 4;
@@ -513,6 +592,7 @@ impl Tape {
             peak = peak.max(value_bytes + grad_bytes);
         }
 
+        self.emit_prune_counters(output, &needs, skipped);
         if sane_telemetry::active() {
             sane_telemetry::gauge_max("dataflow.actual_peak_bytes", peak as f64);
             sane_telemetry::counter_add("dataflow.released_bytes", released_bytes as u64);
@@ -548,18 +628,47 @@ pub struct Gradients {
     slots: Vec<Option<Matrix>>,
 }
 
+/// Adds `grad` into `slot`, recycling it when the slot already holds an
+/// accumulator. Returns true when `grad` became the slot's first value.
+fn accumulate(slot: &mut Option<Matrix>, grad: Matrix) -> bool {
+    match slot {
+        Some(acc) => {
+            acc.add_assign(&grad);
+            pool::put(grad);
+            false
+        }
+        None => {
+            *slot = Some(grad);
+            true
+        }
+    }
+}
+
+/// Bitset over [`ParamId`]s: the requested parameters of one sweep.
+struct ParamBits(Vec<u64>);
+
+impl ParamBits {
+    fn of(ids: &[ParamId]) -> Self {
+        let words = ids.iter().map(|id| id.0 / 64 + 1).max().unwrap_or(0);
+        let mut bits = vec![0u64; words];
+        for id in ids {
+            bits[id.0 / 64] |= 1 << (id.0 % 64);
+        }
+        Self(bits)
+    }
+
+    fn contains(&self, id: ParamId) -> bool {
+        self.0.get(id.0 / 64).is_some_and(|word| word >> (id.0 % 64) & 1 == 1)
+    }
+}
+
 impl Gradients {
-    fn accumulate(&mut self, id: ParamId, grad: Matrix) {
+    /// Adds `grad` into `id`'s slot; true when the slot was empty.
+    fn accumulate(&mut self, id: ParamId, grad: Matrix) -> bool {
         if self.slots.len() <= id.0 {
             self.slots.resize_with(id.0 + 1, || None);
         }
-        match &mut self.slots[id.0] {
-            Some(acc) => {
-                acc.add_assign(&grad);
-                pool::put(grad);
-            }
-            slot @ None => *slot = Some(grad),
-        }
+        accumulate(&mut self.slots[id.0], grad)
     }
 
     /// Gradient for `id`, if the parameter participated in the computation.
@@ -807,6 +916,128 @@ mod tests {
         store.value_mut(p).data_mut()[0] = 9.0;
         store.restore(&snap);
         assert_eq!(store.value(p).as_scalar(), 1.0);
+    }
+
+    const N: usize = 12;
+    const F: usize = 50;
+    const H: usize = 4;
+
+    /// A cora-shaped first layer: `x -> dropout -> spmm -> matmul` beside a
+    /// direct `matmul` of the dropped-out features. With `features_param`
+    /// the features are recorded as a parameter instead of a constant.
+    fn layer_one_fixture(features_param: bool) -> (VarStore, Tape, Tensor) {
+        let mut store = VarStore::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let w1 = store.add("w1", glorot_init(F, H, &mut rng));
+        let w2 = store.add("w2", glorot_init(F, H, &mut rng));
+        let bias = store.add("bias", Matrix::zeros(1, H));
+        let x_val = Matrix::from_fn(N, F, |r, c| ((r * F + c) % 7) as f32 * 0.25);
+        let fid = features_param.then(|| store.add("x", x_val.clone()));
+        let ring: Vec<(u32, u32, f32)> =
+            (0..N as u32).map(|r| (r, (r + 1) % N as u32, 0.5)).collect();
+        let adj = Arc::new(crate::Csr::from_coo(N, N, &ring));
+
+        let mut tape = Tape::new(9);
+        let x = match fid {
+            Some(id) => tape.param(&store, id),
+            None => tape.constant(x_val),
+        };
+        let d = tape.dropout(x, 0.5);
+        let agg = tape.spmm(&adj, d);
+        let (tw1, tw2, tb) =
+            (tape.param(&store, w1), tape.param(&store, w2), tape.param(&store, bias));
+        let h1 = tape.matmul(agg, tw1);
+        let h2 = tape.matmul(d, tw2);
+        let sum = tape.add(h1, h2);
+        let biased = tape.add_bias(sum, tb);
+        let act = tape.relu(biased);
+        let loss = tape.mean_all(act);
+        (store, tape, loss)
+    }
+
+    /// Runs `f` under a memory recorder and returns its result plus the
+    /// run's counters.
+    fn with_counters<T>(f: impl FnOnce() -> T) -> (T, std::collections::BTreeMap<String, u64>) {
+        let buf = sane_telemetry::MemoryBuffer::default();
+        let guard = sane_telemetry::Recorder::new("grad-need").with_memory(buf.clone()).install();
+        let out = f();
+        drop(guard);
+        let text = buf.borrow().clone();
+        let summary = sane_telemetry::trace::summarize(&text).expect("valid trace");
+        (out, summary.counters)
+    }
+
+    fn bits(g: &Gradients, id: ParamId) -> Option<Vec<u32>> {
+        g.get(id).map(|m| m.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn constant_features_are_pruned_and_no_feature_sized_gradient_is_made() {
+        let (grads, counters) = with_counters(|| {
+            let (store, tape, loss) = layer_one_fixture(false);
+            pool::reset();
+            let grads = tape.backward(loss);
+            // Every buffer the sweep creates and discards comes back to the
+            // (emptied) pool, so an `n x f` gradient would show up here.
+            assert_eq!(pool::held(N * F), 0, "the sweep built an n x f gradient");
+            grads.iter().map(|(id, _)| store.name(id).to_string()).collect::<Vec<_>>()
+        });
+        assert_eq!(grads, ["w1", "w2", "bias"]);
+        // The dropout and spmm over the features never run their backward;
+        // both matmuls skip their dA.
+        assert_eq!(counters.get("tape.backward.pruned_nodes"), Some(&2));
+        assert_eq!(counters.get("tape.backward.skipped_input_grads"), Some(&2));
+
+        // Control: with the features as a parameter the same probe sees
+        // the n x f gradients.
+        let (_, tape, loss) = layer_one_fixture(true);
+        pool::reset();
+        let grads = tape.backward(loss);
+        assert!(pool::held(N * F) > 0);
+        grads.recycle();
+    }
+
+    #[test]
+    fn tape_without_constants_prunes_nothing() {
+        let ((), counters) = with_counters(|| {
+            let mut store = VarStore::new();
+            let a = store.add("a", Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, 0.5]));
+            let b = store.add("b", Matrix::from_vec(2, 1, vec![0.25, -1.0]));
+            let s = store.add("s", Matrix::scalar(1.5));
+            let mut tape = Tape::new(0);
+            let (ta, tb, ts) =
+                (tape.param(&store, a), tape.param(&store, b), tape.param(&store, s));
+            let ab = tape.matmul(ta, tb);
+            let scaled = tape.mul_scalar_tensor(ab, ts);
+            let sum = tape.add(scaled, ab);
+            let loss = tape.sum_all(sum);
+            assert_eq!(tape.backward(loss).iter().count(), 3);
+        });
+        assert_eq!(counters.get("tape.backward.pruned_nodes"), Some(&0));
+        assert_eq!(counters.get("tape.backward.skipped_input_grads"), Some(&0));
+    }
+
+    #[test]
+    fn measured_sweep_applies_the_same_mask() {
+        let (store, tape, loss) = layer_one_fixture(false);
+        let eager = tape.backward(loss);
+        let (_, mut tape, loss) = layer_one_fixture(false);
+        pool::reset();
+        let (measured, stats) = tape.backward_measured(loss, None);
+        assert_eq!(pool::held(N * F), 0, "the measured sweep built an n x f gradient");
+        assert!(stats.peak_resident_bytes - stats.baseline_value_bytes < N * F * 4);
+        for id in store.ids() {
+            assert_eq!(bits(&measured, id), bits(&eager, id), "{}", store.name(id));
+        }
+    }
+
+    #[test]
+    fn param_bits_cover_ids_past_one_word() {
+        let bits = ParamBits::of(&[ParamId(0), ParamId(70)]);
+        assert!(bits.contains(ParamId(0)) && bits.contains(ParamId(70)));
+        assert!(!bits.contains(ParamId(1)) && !bits.contains(ParamId(64)));
+        assert!(!bits.contains(ParamId(200)));
+        assert!(!ParamBits::of(&[]).contains(ParamId(0)));
     }
 
     #[test]

@@ -145,9 +145,7 @@ pub fn sane_search(task: &Task, cfg: &SaneSearchConfig) -> SaneSearchOutput {
                 if cfg.xi > 0.0 {
                     step_alpha_second_order(task, &net, &mut store, &mut opt_alpha, cfg, epoch);
                 } else {
-                    let grads = mixed_grads(task, &net, &store, Split::Val, cfg.seed, epoch);
-                    opt_alpha.step_subset(&mut store, &grads, net.alpha_params());
-                    grads.recycle();
+                    step_alpha_first_order(task, &net, &mut store, &mut opt_alpha, cfg.seed, epoch);
                 }
             }
             // Line 4–5: update w on the training loss.
@@ -264,17 +262,36 @@ fn eval_mixed_val(task: &Task, net: &Supernet, store: &VarStore) -> f64 {
     }
 }
 
-/// Gradients of the fully-mixed supernet loss on one split.
-pub(crate) fn mixed_grads(
+/// Gradients of the fully-mixed supernet loss on one split, for `params`
+/// only (see [`Tape::backward_for`]).
+fn mixed_grads(
     task: &Task,
     net: &Supernet,
     store: &VarStore,
     split: Split,
     seed: u64,
     epoch: usize,
+    params: &[ParamId],
 ) -> Gradients {
     let (tape, loss) = mixed_loss_tape(task, net, store, split, seed, epoch);
-    tape.backward(loss)
+    tape.backward_for(loss, params)
+}
+
+/// The first-order α step (Algorithm 1 lines 2–3 with ξ = 0): one Adam
+/// step on `α` against the validation loss, whose sweep differentiates
+/// into `α` only. [`sane_search`] and the determinism fingerprint both run
+/// exactly this.
+pub(crate) fn step_alpha_first_order(
+    task: &Task,
+    net: &Supernet,
+    store: &mut VarStore,
+    opt_alpha: &mut Adam,
+    seed: u64,
+    epoch: usize,
+) {
+    let grads = mixed_grads(task, net, store, Split::Val, seed, epoch, net.alpha_params());
+    opt_alpha.step_subset(store, &grads, net.alpha_params());
+    grads.recycle();
 }
 
 /// Records the fully-mixed supernet forward + loss on one split and returns
@@ -338,29 +355,31 @@ fn step_alpha_second_order(
     epoch: usize,
 ) {
     let w_ids: Vec<ParamId> = net.weight_params().to_vec();
+    let alpha_ids = net.alpha_params();
     let backup = store.snapshot();
 
     // w' = w - ξ ∇w L_tra(w, α).
-    let g_tra = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
+    let g_tra = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, &w_ids);
     apply_delta(store, &w_ids, &g_tra, -cfg.xi);
     g_tra.recycle();
 
     // ∇ L_val at (w', α): the α part is term 1, the w' part drives the
     // finite difference.
-    let mut g_val = mixed_grads(task, net, store, Split::Val, cfg.seed, epoch);
+    let val_ids = [alpha_ids, &w_ids].concat();
+    let mut g_val = mixed_grads(task, net, store, Split::Val, cfg.seed, epoch, &val_ids);
     let gw_norm = g_val.l2_norm_subset(&w_ids);
     store.restore(&backup);
 
     if gw_norm > 1e-12 {
         let eps = 0.01 / gw_norm;
         apply_delta(store, &w_ids, &g_val, eps);
-        let g_plus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
+        let g_plus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, alpha_ids);
         store.restore(&backup);
         apply_delta(store, &w_ids, &g_val, -eps);
-        let g_minus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
+        let g_minus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, alpha_ids);
         store.restore(&backup);
-        // g_val's weight slots also accumulate the correction; harmless —
-        // the optimizer below only reads the α slots.
+        // g_plus and g_minus hold α slots only, which is all the optimizer
+        // below reads.
         g_val.add_scaled(&g_plus, -cfg.xi / (2.0 * eps));
         g_val.add_scaled(&g_minus, cfg.xi / (2.0 * eps));
         g_plus.recycle();

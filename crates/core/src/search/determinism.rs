@@ -30,7 +30,7 @@ use rand::SeedableRng;
 use sane_autodiff::optim::Adam;
 use sane_autodiff::VarStore;
 
-use super::darts::{mixed_grads, mixed_loss_tape, SaneSearchConfig, Split};
+use super::darts::{mixed_loss_tape, step_alpha_first_order, SaneSearchConfig, Split};
 use crate::supernet::Supernet;
 use crate::train::Task;
 
@@ -118,10 +118,9 @@ pub fn search_step_fingerprint(task: &Task, cfg: &SaneSearchConfig) -> StepFinge
     let mut opt_w = Adam::new(cfg.lr_w, cfg.wd_w);
     let mut opt_alpha = Adam::new(cfg.lr_alpha, cfg.wd_alpha);
 
-    // Lines 2–3 of Algorithm 1: α Adam step on the validation loss.
-    let alpha_grads = mixed_grads(task, &net, &store, Split::Val, cfg.seed, 0);
-    opt_alpha.step_subset(&mut store, &alpha_grads, net.alpha_params());
-    alpha_grads.recycle();
+    // Lines 2–3 of Algorithm 1: α Adam step on the validation loss, the
+    // same helper `sane_search` runs.
+    step_alpha_first_order(task, &net, &mut store, &mut opt_alpha, cfg.seed, 0);
 
     // Lines 4–5: w Adam step on the training loss.
     let (tape, loss) = mixed_loss_tape(task, &net, &store, Split::Train, cfg.seed, 0);
