@@ -233,9 +233,11 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        let (m, k, n) = (self.rows, self.cols, other.cols);
         crate::parallel::timed("gemm", || {
-            let mut out = crate::pool::zeros(self.rows, other.cols);
-            gemm_ikj(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
+            let mut out = crate::pool::zeros(m, n);
+            let skip = zero_skip(&self.data, &other.data, k, n);
+            gemm_ikj(&self.data, &other.data, &mut out.data, m, k, n, skip);
             out
         })
     }
@@ -248,24 +250,12 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        crate::parallel::timed("gemm", || self.matmul_at_b_inner(other, k, m, n))
-    }
-
-    fn matmul_at_b_inner(&self, other: &Matrix, k: usize, m: usize, n: usize) -> Matrix {
-        let mut out = crate::pool::zeros(m, n);
-        // kᵗʰ row of A provides a rank-1 update: out[i,:] += A[k,i] * B[k,:].
-        // The k loop stays outermost and serial so every out element
-        // accumulates its terms in the same fixed order on every run.
-        let fl = crate::simd::flavour();
-        for kk in 0..k {
-            let arow = &self.data[kk * m..(kk + 1) * m];
-            let brow = &other.data[kk * n..(kk + 1) * n];
-            for i in 0..m {
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                fl.axpy(arow[i], brow, orow);
-            }
-        }
-        out
+        crate::parallel::timed("gemm_at_b", || {
+            let mut out = crate::pool::zeros(m, n);
+            let skip = zero_skip(&self.data, &other.data, m, n);
+            gemm_at_b(&self.data, &other.data, &mut out.data, k, m, n, skip);
+            out
+        })
     }
 
     /// `self * otherᵀ` without materialising the transpose.
@@ -276,7 +266,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        crate::parallel::timed("gemm", || {
+        crate::parallel::timed("gemm_a_bt", || {
             // Scratch: every cell is assigned by the dot below, unlike the
             // accumulating `matmul`/`matmul_at_b` kernels which need zeros.
             let mut out = crate::pool::scratch(m, n);
@@ -355,31 +345,170 @@ impl fmt::Debug for Matrix {
     }
 }
 
+/// Elements of the left operand [`zero_skip`] counts between checks for an
+/// early exit.
+const ZERO_COUNT_BLOCK: usize = 1 << 14;
+
+/// Decides, once per call of an accumulating GEMM, whether it skips the
+/// exactly-zero entries of its left operand `a` (the zero-term skip of
+/// [`gemm_ikj`] and [`gemm_at_b`]).
+///
+/// The skip runs when more than half of `a` is `±0` and every entry of `b`
+/// is finite. One vectorised pass counts `a`'s nonzeros block by block and
+/// stops as soon as they reach half of `a`, so a dense operand pays for
+/// about half a pass; `b` is only scanned once the count qualifies.
+/// `index_len` is the length of the index space the kernel compacts (`a`'s
+/// row length for the forward GEMM, its column count for `aᵀ·b`), which
+/// must fit the `u32` scratch. Apart from the underflow case documented on
+/// [`gemm_ikj`], both answers give the same bits, so the threshold only
+/// decides speed: below it the dense loop is cheaper than compacting.
+/// Under an active
+/// telemetry recorder each skipping call counts into
+/// `gemm.sparse_path.calls`, and its skipped scalar multiply-adds (zeros
+/// of `a` times the `n` columns of `b`) into
+/// `gemm.sparse_path.skipped_terms`.
+fn zero_skip(a: &[f32], b: &[f32], index_len: usize, n: usize) -> bool {
+    if a.is_empty() || u32::try_from(index_len).is_err() {
+        return false;
+    }
+    let mut kept = 0;
+    for block in a.chunks(ZERO_COUNT_BLOCK) {
+        kept += block.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize; // lint:allow(lossy-cast) -- u32 widens losslessly; a block holds far fewer than 2^32 entries
+        if kept * 2 >= a.len() {
+            return false;
+        }
+    }
+    if !b.iter().all(|v| v.is_finite()) {
+        return false;
+    }
+    let zeros = a.len() - kept;
+    if sane_telemetry::active() {
+        sane_telemetry::counter_add("gemm.sparse_path.calls", 1);
+        let skipped = u64::try_from(zeros * n).unwrap_or(u64::MAX);
+        sane_telemetry::counter_add("gemm.sparse_path.skipped_terms", skipped);
+    }
+    true
+}
+
+/// Writes the positions of `row`'s nonzero entries to the front of `nz`,
+/// in increasing order, and returns how many there are.
+///
+/// Branch-free: every position is stored and the cursor only advances past
+/// a nonzero, so the cost is one store per entry whatever the zero
+/// pattern. `nz` must be at least as long as `row`.
+#[inline]
+fn compact_nonzeros(row: &[f32], nz: &mut [u32]) -> usize {
+    debug_assert!(nz.len() >= row.len());
+    let mut c = 0;
+    for (k, &v) in row.iter().enumerate() {
+        nz[c] = k as u32; // lint:allow(lossy-cast) -- k < row.len(), which zero_skip checked fits u32
+        c += usize::from(v != 0.0);
+    }
+    c
+}
+
 /// GEMM with i-k-j loop order: the inner loop streams rows of `b` and `out`.
 ///
 /// Each output row is owned by exactly one worker and accumulates its k
-/// terms serially through `simd::axpy`, so the reduction order per element
-/// is fixed regardless of thread count. There is deliberately no zero-skip
-/// on `av`: the data-dependent branch costs more than the multiplies it
-/// saves and blocks the 8-wide `mul_add` unrolling.
-fn gemm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// terms serially through `simd::axpy`, in increasing `k`, so the
+/// reduction order per element is fixed regardless of thread count.
+///
+/// **Zero-term skip.** With `skip` (chosen per call by [`zero_skip`]) each
+/// output row first compacts the positions of its `a` row's nonzeros and
+/// runs `axpy` over those only, still in increasing `k`. This is exact
+/// under the conditions `zero_skip` checks. `out` starts at `+0`
+/// (`pool::zeros`). A skipped term is `fma(±0, b, acc)` (vectorised
+/// flavour) or `acc + ±0·b` (reference flavour). With `b` finite, `±0·b`
+/// is a zero, and adding a zero to `acc` returns `acc`'s bits unless
+/// `acc` is `−0` and the zero is `+0`, which gives `+0`. A `NaN` or
+/// infinite `acc` passes through unchanged. So the two loops can differ
+/// only where an accumulator is `−0` at a skipped term:
+///
+/// * Reference flavour: never. `acc + p` is `−0` only if both are `−0`, so
+///   an accumulator starting at `+0` stays off `−0`.
+/// * Vectorised flavour: an `fma` turns a `+0` or nonzero accumulator into
+///   `−0` only when its exact result `a·b + acc` is negative and rounds to
+///   zero, i.e. underflows below half the smallest subnormal (magnitude at
+///   most `2^-150`). From there the dense loop returns `+0` after the
+///   next skipped term whose product is `+0`, while the compacted loop
+///   keeps `−0`; the next nonzero product erases the difference. The
+///   outputs then differ in the sign of a zero and nothing else.
+///
+/// A non-finite `b` makes `zero_skip` choose the dense loop, so `0·∞ =
+/// NaN` still reaches the output.
+fn gemm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, skip: bool) {
     let fl = crate::simd::flavour();
-    let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
-        for (ri, i) in rows.enumerate() {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out_chunk[ri * n..(ri + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                let brow = &b[kk * n..(kk + 1) * n];
-                fl.axpy(av, brow, orow);
+    if skip {
+        let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+            let mut nz = vec![0u32; k];
+            for (ri, i) in rows.enumerate() {
+                let arow = &a[i * k..(i + 1) * k];
+                let orow = &mut out_chunk[ri * n..(ri + 1) * n];
+                let c = compact_nonzeros(arow, &mut nz);
+                for &kk in &nz[..c] {
+                    let kk = kk as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
+                    fl.axpy(arow[kk], &b[kk * n..(kk + 1) * n], orow);
+                }
             }
-        }
-    };
-    parallel_rows(m, n, m * n * k, out, run);
+        };
+        parallel_rows(m, n, m * n * k, out, run);
+    } else {
+        let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+            for (ri, i) in rows.enumerate() {
+                let arow = &a[i * k..(i + 1) * k];
+                let orow = &mut out_chunk[ri * n..(ri + 1) * n];
+                for (kk, &av) in arow.iter().enumerate() {
+                    fl.axpy(av, &b[kk * n..(kk + 1) * n], orow);
+                }
+            }
+        };
+        parallel_rows(m, n, m * n * k, out, run);
+    }
+}
+
+/// `out = aᵀ·b` for a `k x m` `a` and a `k x n` `b`, without materialising
+/// the transpose: row `kk` of `a` gives the rank-1 update
+/// `out[i,:] += a[kk,i] * b[kk,:]`.
+///
+/// Row-parallel over the `m` output rows: each worker owns a block of
+/// `out` rows and walks `kk` serially, so every element accumulates its
+/// terms in increasing `kk` at any thread count. With `skip` each worker
+/// compacts the nonzeros of its segment of `a`'s row `kk` and updates only
+/// those rows; the exactness argument is [`gemm_ikj`]'s.
+fn gemm_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize, skip: bool) {
+    let fl = crate::simd::flavour();
+    if skip {
+        let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+            let mut nz = vec![0u32; rows.len()];
+            for kk in 0..k {
+                let aseg = &a[kk * m + rows.start..kk * m + rows.end];
+                let brow = &b[kk * n..(kk + 1) * n];
+                let c = compact_nonzeros(aseg, &mut nz);
+                for &ri in &nz[..c] {
+                    let ri = ri as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
+                    fl.axpy(aseg[ri], brow, &mut out_chunk[ri * n..(ri + 1) * n]);
+                }
+            }
+        };
+        parallel_rows(m, n, m * n * k, out, run);
+    } else {
+        let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+            for kk in 0..k {
+                let aseg = &a[kk * m + rows.start..kk * m + rows.end];
+                let brow = &b[kk * n..(kk + 1) * n];
+                for (ri, &av) in aseg.iter().enumerate() {
+                    fl.axpy(av, brow, &mut out_chunk[ri * n..(ri + 1) * n]);
+                }
+            }
+        };
+        parallel_rows(m, n, m * n * k, out, run);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_threads;
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -498,6 +627,203 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         assert_eq!(Matrix::scalar(2.5).as_scalar(), 2.5);
+    }
+
+    // --- zero-term skip: bitwise equality with the dense loops ---------------
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `a * b` through the dense loop, whatever `a`'s density.
+    fn dense(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        gemm_ikj(a.data(), b.data(), &mut out.data, a.rows(), a.cols(), b.cols(), false);
+        out
+    }
+
+    /// `aᵀ * b` through the dense loop.
+    fn dense_at_b(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        gemm_at_b(a.data(), b.data(), &mut out.data, a.rows(), a.cols(), b.cols(), false);
+        out
+    }
+
+    /// `a * b` through the compacted loop, bypassing `zero_skip`.
+    fn compacted(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        gemm_ikj(a.data(), b.data(), &mut out.data, a.rows(), a.cols(), b.cols(), true);
+        out
+    }
+
+    /// A `rows x cols` matrix whose entries are nonzero with probability
+    /// `density`, drawn from `values` when given, else uniform in
+    /// `±[0.01, 1)` (products stay far from underflow).
+    fn sparse(rows: usize, cols: usize, density: f64, seed: u64, values: &[f32]) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| {
+            if !rng.gen_bool(density) {
+                return 0.0;
+            }
+            let v = if values.is_empty() {
+                rng.gen_range(0.01f32..1.0)
+            } else {
+                values[rng.gen_range(0..values.len())]
+            };
+            if rng.gen_bool(0.5) {
+                -v
+            } else {
+                v
+            }
+        })
+    }
+
+    /// Checks that `a.matmul(b)` and `a.matmul_at_b(b_at)` equal the dense
+    /// loops bit for bit at 1, 2 and 4 threads in both `simd` flavours,
+    /// and that `zero_skip` picks the compacted path exactly when expected
+    /// (for both products, since they share `a`).
+    fn assert_matches_dense(a: &Matrix, b: &Matrix, b_at: &Matrix, expect_skip: bool) {
+        assert_eq!(zero_skip(a.data(), b.data(), a.cols(), b.cols()), expect_skip, "forward");
+        assert_eq!(zero_skip(a.data(), b_at.data(), a.cols(), b_at.cols()), expect_skip, "at_b");
+        for scalar in [false, true] {
+            let flavoured = |f: &dyn Fn() -> Matrix| {
+                if scalar {
+                    crate::simd::with_scalar(f)
+                } else {
+                    f()
+                }
+            };
+            let want = with_threads(1, || flavoured(&|| dense(a, b)));
+            let want_at = with_threads(1, || flavoured(&|| dense_at_b(a, b_at)));
+            for threads in [1, 2, 4] {
+                let got = with_threads(threads, || flavoured(&|| a.matmul(b)));
+                let got_at = with_threads(threads, || flavoured(&|| a.matmul_at_b(b_at)));
+                assert_eq!(bits(&got), bits(&want), "matmul, {threads} threads, scalar={scalar}");
+                assert_eq!(
+                    bits(&got_at),
+                    bits(&want_at),
+                    "matmul_at_b, {threads} threads, scalar={scalar}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_skip_matches_dense_at_cora_density() {
+        // Binary bag-of-words rows, raw and after inverted 0.6 dropout.
+        for (density, seed) in [(0.0126, 30), (0.005, 31)] {
+            let a = sparse(41, 300, density, seed, &[1.0, 2.5]);
+            assert_matches_dense(&a, &rngmat(300, 9, seed), &rngmat(41, 9, seed + 1), true);
+        }
+    }
+
+    #[test]
+    fn zero_skip_matches_dense_on_both_sides_of_the_switch() {
+        // 60% and 55% zeros compact; 45% zeros and an exact half do not.
+        for (density, skip) in [(0.4, true), (0.45, true), (0.55, false), (0.9, false)] {
+            let a = sparse(37, 40, density, 40, &[]);
+            assert_matches_dense(&a, &rngmat(40, 11, 41), &rngmat(37, 11, 42), skip);
+        }
+        let mut half = rngmat(6, 4, 43);
+        for r in 0..6 {
+            half.set(r, r % 4, 0.0);
+            half.set(r, (r + 1) % 4, 0.0);
+        }
+        assert_matches_dense(&half, &rngmat(4, 5, 44), &rngmat(6, 5, 45), false);
+    }
+
+    #[test]
+    fn zero_skip_matches_dense_on_zero_rows_negative_zeros_and_singletons() {
+        // All-zero rows (and an all-zero operand).
+        let mut a = sparse(23, 50, 0.1, 50, &[]);
+        for r in [0, 7, 22] {
+            a.row_mut(r).fill(0.0);
+        }
+        assert_matches_dense(&a, &rngmat(50, 8, 51), &rngmat(23, 8, 52), true);
+        let zero = Matrix::zeros(9, 12);
+        assert_matches_dense(&zero, &rngmat(12, 8, 53), &rngmat(9, 8, 54), true);
+        // `-0.0` entries in A are skipped like `+0.0`.
+        let mut neg = sparse(19, 33, 0.2, 55, &[]);
+        neg.map_inplace(|v| if v == 0.0 { -0.0 } else { v });
+        assert!(neg.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert_matches_dense(&neg, &rngmat(33, 7, 56), &rngmat(19, 7, 57), true);
+        // A single nonzero per row.
+        let single =
+            Matrix::from_fn(17, 29, |r, c| if c == (r * 5) % 29 { 0.5 + r as f32 } else { 0.0 });
+        assert_matches_dense(&single, &rngmat(29, 6, 58), &rngmat(17, 6, 59), true);
+    }
+
+    #[test]
+    fn non_finite_b_takes_the_dense_loop_and_keeps_nan_at_zero_times_inf() {
+        let a = sparse(21, 30, 0.1, 60, &[]);
+        let (mut b, mut b_at) = (rngmat(30, 6, 61), rngmat(21, 6, 62));
+        // Column 2 of `b` meets a zero of every `a` row somewhere.
+        for kk in 0..30 {
+            b.set(kk, 2, if kk % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY });
+        }
+        b.set(4, 0, f32::NAN);
+        b_at.set(3, 1, f32::INFINITY);
+        b_at.set(5, 4, f32::NAN);
+        assert_matches_dense(&a, &b, &b_at, false);
+        // 0 * inf = NaN reaches every output of the infinite columns.
+        let out = a.matmul(&b);
+        assert!((0..21).all(|r| out.get(r, 2).is_nan()));
+        assert!((0..21).all(|r| out.get(r, 0).is_nan()));
+        // In `aᵀ·b_at`, row 3 of `a` meets the infinity: NaN where it is
+        // zero, ±inf where it is not. The NaN in row 5 spreads everywhere.
+        let out_at = a.matmul_at_b(&b_at);
+        for i in 0..30 {
+            assert_eq!(out_at.get(i, 1).is_nan(), a.get(3, i) == 0.0, "row {i}");
+            assert!(out_at.get(i, 4).is_nan());
+        }
+        assert!((0..30).any(|i| a.get(3, i) == 0.0));
+    }
+
+    /// The one case where the two loops differ, as documented on
+    /// [`gemm_ikj`]: an `fma` underflows to `-0`, then a skipped `+0·b`
+    /// term would have turned it back into `+0`.
+    #[test]
+    fn underflow_to_negative_zero_is_the_documented_difference() {
+        // acc = fma(-1e-30, 1e-30, +0): the exact product -1e-60 rounds to
+        // -0. The next two terms are 0 * 1 = +0.
+        let a = Matrix::from_vec(1, 3, vec![-1e-30, 0.0, 0.0]);
+        let b = Matrix::from_vec(3, 1, vec![1e-30, 1.0, 1.0]);
+        assert!(zero_skip(a.data(), b.data(), 3, 1));
+        let neg_zero = (-0.0f32).to_bits();
+        // Vectorised flavour: dense gives +0, compacted keeps -0, and the
+        // public kernel is the compacted one.
+        assert_eq!(bits(&dense(&a, &b)), [0]);
+        assert_eq!(bits(&compacted(&a, &b)), [neg_zero]);
+        assert_eq!(bits(&a.matmul(&b)), [neg_zero]);
+        // A later nonzero product erases the difference.
+        let a2 = Matrix::from_vec(1, 4, vec![-1e-30, 0.0, 0.0, 0.5]);
+        let b2 = Matrix::from_vec(4, 1, vec![1e-30, 1.0, 1.0, 2.0]);
+        assert_eq!(bits(&dense(&a2, &b2)), bits(&compacted(&a2, &b2)));
+        // Reference flavour: the product rounds to -0 first and
+        // +0 + -0 = +0, so the accumulator never reaches -0.
+        crate::simd::with_scalar(|| {
+            assert_eq!(bits(&dense(&a, &b)), [0]);
+            assert_eq!(bits(&a.matmul(&b)), [0]);
+        });
+    }
+
+    #[test]
+    fn zero_skip_counts_calls_and_skipped_terms_under_a_recorder() {
+        let a = sparse(12, 20, 0.1, 70, &[]);
+        let zeros = a.data().iter().filter(|&&v| v == 0.0).count() as u64;
+        let buf = sane_telemetry::MemoryBuffer::default();
+        {
+            let _guard =
+                sane_telemetry::Recorder::new("zero-skip").with_memory(buf.clone()).install();
+            a.matmul(&rngmat(20, 3, 71));
+            a.matmul_at_b(&rngmat(12, 5, 72));
+            rngmat(12, 20, 73).matmul(&rngmat(20, 3, 74)); // dense: not counted
+            sane_telemetry::flush_metrics();
+        }
+        let summary = sane_telemetry::trace::summarize(&buf.borrow()).expect("valid trace");
+        assert_eq!(summary.counters.get("gemm.sparse_path.calls"), Some(&2));
+        assert_eq!(summary.counters.get("gemm.sparse_path.skipped_terms"), Some(&(zeros * 8)));
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!    operations never spawn; scoped threads cost ~100µs, which only a
 //!    few milliseconds of arithmetic amortises.
 //!
-//! Worker threads never allocate: callers pre-split the output buffer and
-//! each worker writes only its own chunk, so the thread-local buffer pool
-//! ([`crate::pool`]) stays a calling-thread concern.
+//! Worker threads never take buffers from the pool: callers pre-split the
+//! output buffer and each worker writes only its own chunk, so the
+//! thread-local buffer pool ([`crate::pool`]) stays a calling-thread
+//! concern. The one worker-side allocation is the zero-skipping GEMMs'
+//! `u32` index scratch in [`crate::matrix`], one row's worth per worker
+//! and call.
 //!
 //! Since PR 5 the invariants are *checked*, not just stated: every spawn
 //! goes through [`run_plan`]/[`run_plan_pair`], which in check mode (debug

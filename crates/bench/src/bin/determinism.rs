@@ -10,6 +10,12 @@
 //! a different invocation count means a different code path, which is
 //! exactly where a thread-count-dependent kernel hides.
 //!
+//! The gate also proves it covers the zero-skipping GEMM kernels: every
+//! run must take the compacted path (`gemm.sparse_path.calls > 0`), and
+//! every multi-thread run must split `matmul_at_b` across workers
+//! (`kernel.gemm_at_b.worker.ns` samples), whose partition plans CI proves
+//! with `SANE_CHECK_PLANS=1`. A run that misses either fails the gate.
+//!
 //! A final `simd-lane-drift` case fingerprints the same step on the scalar
 //! reference kernels (`sane_autodiff::simd::with_scalar`, the in-process
 //! equivalent of `SANE_FORCE_SCALAR=1`) and *reports* — without gating —
@@ -20,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use sane_autodiff::parallel::{hardware_threads, with_threads};
 use sane_bench::HarnessArgs;
@@ -34,6 +40,29 @@ struct RunReport {
     threads: usize,
     /// Telemetry kernel-sample counts observed during this run.
     kernel_counts: BTreeMap<String, u64>,
+    /// GEMM calls that skipped the zero terms of their left operand.
+    sparse_path_calls: u64,
+    /// Worker slices of `matmul_at_b` (zero when it ran serially).
+    gemm_at_b_worker_slices: u64,
+}
+
+impl RunReport {
+    /// Why this run does not cover the zero-skipping GEMMs, if it does not.
+    fn coverage_gap(&self) -> Option<String> {
+        if self.sparse_path_calls == 0 {
+            return Some(format!(
+                "{} thread(s): no GEMM took the zero-skipping path (gemm.sparse_path.calls = 0)",
+                self.threads
+            ));
+        }
+        if self.threads > 1 && self.gemm_at_b_worker_slices == 0 {
+            return Some(format!(
+                "{} thread(s): matmul_at_b never ran across workers",
+                self.threads
+            ));
+        }
+        None
+    }
 }
 
 #[derive(Serialize)]
@@ -73,18 +102,21 @@ struct DeterminismReport {
     /// Scalars covered by each fingerprint (loss + grads + params + α).
     fingerprint_scalars: usize,
     passed: bool,
+    /// True when the partition plans of every parallel kernel, the
+    /// row-parallel `matmul_at_b` included, were proven before spawning
+    /// (`SANE_CHECK_PLANS`, or a debug build).
+    plans_checked: bool,
+    /// Runs that missed a kernel path the gate must cover (see
+    /// [`RunReport::coverage_gap`]).
+    coverage_gaps: Vec<String>,
     runs: Vec<RunReport>,
     mismatches: Vec<Mismatch>,
     simd_lane_drift: SimdLaneDrift,
 }
 
 /// Runs the probe under an installed recorder and returns the fingerprint
-/// plus the per-kernel sample counts from the flushed metrics record.
-fn probe(
-    task: &Task,
-    cfg: &SaneSearchConfig,
-    threads: usize,
-) -> (StepFingerprint, BTreeMap<String, u64>) {
+/// plus what the flushed metrics record saw of the run.
+fn probe(task: &Task, cfg: &SaneSearchConfig, threads: usize) -> (StepFingerprint, RunReport) {
     let buf = sane_telemetry::MemoryBuffer::default();
     let fp = {
         let _guard = sane_telemetry::Recorder::new("determinism")
@@ -95,48 +127,16 @@ fn probe(
         sane_telemetry::flush_metrics();
         fp
     };
-    let counts = kernel_counts(&buf.borrow());
-    (fp, counts)
-}
-
-/// Object-field lookup on the workspace serde stub's `Value` tree.
-fn get<'a>(obj: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-/// Extracts `kernel.<name>.ns` sample counts from the last `metrics`
-/// record in a telemetry JSONL buffer.
-fn kernel_counts(jsonl: &str) -> BTreeMap<String, u64> {
-    let mut counts = BTreeMap::new();
-    for line in jsonl.lines() {
-        let Ok(rec) = serde_json::from_str::<Value>(line) else {
-            continue;
-        };
-        let Some(fields) = rec.as_obj() else {
-            continue;
-        };
-        if get(fields, "kind").and_then(Value::as_str) != Some("metrics") {
-            continue;
-        }
-        let Some(summaries) = get(fields, "summaries").and_then(Value::as_obj) else {
-            continue;
-        };
-        // Cumulative flushes: later records supersede earlier ones.
-        counts.clear();
-        for (name, summary) in summaries {
-            let Some(kernel) = name.strip_prefix("kernel.").and_then(|n| n.strip_suffix(".ns"))
-            else {
-                continue;
-            };
-            let Some(sfields) = summary.as_obj() else {
-                continue;
-            };
-            if let Some(Value::Num(count)) = get(sfields, "count") {
-                counts.insert(kernel.to_string(), *count as u64);
-            }
-        }
-    }
-    counts
+    let summary = sane_telemetry::trace::summarize(&buf.borrow()).expect("probe trace validates"); // lint:allow(expect) -- probe trace validates
+    let kernel_counts: BTreeMap<String, u64> =
+        summary.kernels.iter().map(|(name, count, ..)| (name.clone(), *count)).collect();
+    let report = RunReport {
+        threads,
+        sparse_path_calls: summary.counters.get("gemm.sparse_path.calls").copied().unwrap_or(0),
+        gemm_at_b_worker_slices: kernel_counts.get("gemm_at_b.worker").copied().unwrap_or(0),
+        kernel_counts,
+    };
+    (fp, report)
 }
 
 fn suspect_kernels(
@@ -183,22 +183,23 @@ fn main() {
         hardware_threads(),
     );
 
-    let (reference, ref_counts) = probe(&task, &cfg, threads[0]);
+    let (reference, ref_run) = probe(&task, &cfg, threads[0]);
     println!(
         "  {} scalars fingerprinted per step ({} kernels sampled)",
         reference.num_scalars(),
-        ref_counts.len(),
+        ref_run.kernel_counts.len(),
     );
 
-    let mut runs = vec![RunReport { threads: threads[0], kernel_counts: ref_counts.clone() }];
+    let ref_counts = ref_run.kernel_counts.clone();
+    let mut runs = vec![ref_run];
     let mut mismatches = Vec::new();
     for &t in &threads[1..] {
-        let (fp, counts) = probe(&task, &cfg, t);
+        let (fp, run) = probe(&task, &cfg, t);
         let labels = reference.diff(&fp);
         if labels.is_empty() {
             println!("  {t} thread(s): bitwise identical to serial");
         } else {
-            let suspects = suspect_kernels(&ref_counts, &counts);
+            let suspects = suspect_kernels(&ref_counts, &run.kernel_counts);
             println!(
                 "  {t} thread(s): DIVERGED on {} section(s): {:?} (suspect kernels: {:?})",
                 labels.len(),
@@ -207,8 +208,24 @@ fn main() {
             );
             mismatches.push(Mismatch { threads: t, labels, suspect_kernels: suspects });
         }
-        runs.push(RunReport { threads: t, kernel_counts: counts });
+        runs.push(run);
     }
+    for run in &runs {
+        println!(
+            "  {} thread(s): {} zero-skipping GEMM call(s), {} matmul_at_b worker slice(s)",
+            run.threads, run.sparse_path_calls, run.gemm_at_b_worker_slices,
+        );
+    }
+    let coverage_gaps: Vec<String> = runs.iter().filter_map(RunReport::coverage_gap).collect();
+    let plans_checked = sane_autodiff::analysis::checks_enabled();
+    println!(
+        "  partition plans {}",
+        if plans_checked {
+            "proven before every spawn"
+        } else {
+            "not checked (set SANE_CHECK_PLANS=1)"
+        }
+    );
 
     // simd-lane-drift case: scalar reference kernels vs the vectorized
     // default, reported but never gated (see `SimdLaneDrift`).
@@ -229,7 +246,9 @@ fn main() {
         threads,
         available_parallelism: hardware_threads(),
         fingerprint_scalars: reference.num_scalars(),
-        passed: mismatches.is_empty(),
+        passed: mismatches.is_empty() && coverage_gaps.is_empty(),
+        plans_checked,
+        coverage_gaps,
         runs,
         mismatches,
         simd_lane_drift,
@@ -241,9 +260,14 @@ fn main() {
     println!("[saved {}]", path.display());
 
     assert!(
-        report.passed,
+        report.mismatches.is_empty(),
         "search step is not bitwise deterministic across thread counts; see {}",
         path.display()
+    );
+    assert!(
+        report.coverage_gaps.is_empty(),
+        "determinism gate does not cover the zero-skipping GEMMs: {:?}",
+        report.coverage_gaps
     );
     println!("determinism gate passed: bitwise identical at every thread count");
 }

@@ -1,4 +1,5 @@
-//! Kernel microbenchmark: times the parallel sparse/segment kernels and a
+//! Kernel microbenchmark: times the parallel sparse/segment kernels, the
+//! accumulating GEMMs on a dense and a cora-density left operand, and a
 //! fully-mixed supernet step at 1, 2 and 4 worker threads, verifies every
 //! parallel result is bitwise-identical to the serial one, and reports the
 //! tape buffer pool's steady-state behaviour. Emits `BENCH_kernels.json`.
@@ -182,6 +183,22 @@ fn main() {
     let seg_p = seg_store.add("x", uniform_init(n, d, 1.0, &mut rng));
     let seg_s = seg_store.add("scores", uniform_init(n, 1, 1.0, &mut rng));
 
+    // --- GEMM fixtures: layer-1 shapes on cora-syn's 1433-word input --------
+    // The dense operand is uniform; the sparse one is a binary bag of words
+    // at cora-syn's density, so `matmul`/`matmul_at_b` take their
+    // zero-skipping path on it and their dense loop on the other.
+    let cora = CitationConfig::cora();
+    let (gemm_rows, vocab) = (if quick { 1000 } else { cora.num_nodes }, cora.feature_dim);
+    let dense_x = uniform_init(gemm_rows, vocab, 1.0, &mut rng);
+    let mut bag_x = sane_autodiff::Matrix::zeros(gemm_rows, vocab);
+    for r in 0..gemm_rows {
+        for _ in 0..cora.words_per_doc {
+            bag_x.set(r, rng.gen_range(0..vocab), 1.0);
+        }
+    }
+    let gemm_w = uniform_init(vocab, d, 1.0, &mut rng);
+    let gemm_dy = uniform_init(gemm_rows, d, 1.0, &mut rng);
+
     // --- fully-mixed supernet fixtures (Eq. 3-5 forward + backward) ---------
     let data_scale = if quick { 0.05 } else { 0.25 };
     let ds = CitationConfig::cora().scaled(data_scale).with_seed(args.scale.seed).generate();
@@ -286,6 +303,30 @@ fn main() {
             format!("softmax+broadcast+sum over {total} rows, {n} segments, d={d}"),
             iters,
             Box::new(seg_attention_unfused),
+        ),
+        (
+            "gemm_dense_fwd",
+            format!("{gemm_rows}x{vocab} (uniform) * {vocab}x{d}"),
+            iters,
+            Box::new(|| dense_x.matmul(&gemm_w).into_vec()),
+        ),
+        (
+            "gemm_dense_at_b",
+            format!("({gemm_rows}x{vocab} uniform)^T * {gemm_rows}x{d}"),
+            iters,
+            Box::new(|| dense_x.matmul_at_b(&gemm_dy).into_vec()),
+        ),
+        (
+            "gemm_sparse_fwd",
+            format!("{gemm_rows}x{vocab} ({} words/row) * {vocab}x{d}", cora.words_per_doc),
+            iters,
+            Box::new(|| bag_x.matmul(&gemm_w).into_vec()),
+        ),
+        (
+            "gemm_sparse_at_b",
+            format!("({gemm_rows}x{vocab}, {} words/row)^T * {gemm_rows}x{d}", cora.words_per_doc),
+            iters,
+            Box::new(|| bag_x.matmul_at_b(&gemm_dy).into_vec()),
         ),
         (
             "mixed_supernet_fwd_bwd",
