@@ -3,8 +3,10 @@
 //! A [`Tape`] is a Wengert list: a flat, already-scheduled dataflow graph
 //! with eagerly computed forward values. That makes it cheap to *audit*
 //! without running backward — every op declares its input arity and a
-//! shape-transfer function ([`Op::arity`] / [`Op::infer_shape`]), and the
-//! auditor replays those declarations against what was actually recorded.
+//! transfer function ([`Op::arity`] / [`Op::transfer`]), and the auditor
+//! replays those declarations against what was actually recorded. The
+//! transfer function is the op's one shape contract: the same function
+//! drives the abstract interpreter in [`crate::absint`].
 //!
 //! [`Tape::audit`] runs five passes and collects everything it finds into a
 //! [`TapeReport`]:
@@ -12,9 +14,11 @@
 //! 1. **Arity check** — each node's recorded input count matches its op's
 //!    declared [`Arity`].
 //! 2. **Shape consistency** — each node's recorded output shape matches the
-//!    shape its op infers from its recorded input shapes, and the input
-//!    shapes themselves satisfy the op's contract (e.g. `matmul` inner
-//!    dimensions agree).
+//!    shape its op's transfer function derives from the recorded input
+//!    shapes (passed as concrete dims), and the input shapes themselves
+//!    satisfy the op's contract (e.g. `matmul` inner dimensions agree).
+//!    Only shapes are checked here; the full value analysis is
+//!    [`Tape::audit_with_absint`].
 //! 3. **Reachability** — a reverse walk from the loss node flags recorded
 //!    compute that can never receive gradient (dead compute) and parameter
 //!    leaves the loss does not depend on (dead parameters, the classic
@@ -34,9 +38,9 @@
 //! emit behind their `audit_every` debug flags.
 //!
 //! [`Op::arity`]: crate::tape::Op::arity
-//! [`Op::infer_shape`]: crate::tape::Op::infer_shape
+//! [`Op::transfer`]: crate::tape::Op::transfer
 
-use crate::absint::{AbsReport, AbsSummary};
+use crate::absint::{AbsReport, AbsSummary, AbsVal, Dim};
 use crate::dataflow::{MemPlan, MemSummary};
 use crate::tape::{Gradients, Tape, Tensor, VarStore};
 
@@ -84,9 +88,10 @@ pub enum FindingKind {
     ArityMismatch,
     /// A node's recorded shapes contradict its op's shape-transfer function.
     ShapeMismatch,
-    /// A non-leaf op declined to infer its output shape (dynamic output
-    /// arity), so the shape pass could not check this node. Earlier
-    /// versions silently dropped the node, hiding the coverage gap.
+    /// A non-leaf op's transfer function left the output shape open for
+    /// concrete inputs (dynamic output arity), so the shape pass could not
+    /// check this node. Earlier versions silently dropped the node, hiding
+    /// the coverage gap.
     ShapeUnknown,
     /// The abstract interpreter found a node whose transfer function
     /// rejected its inputs (see [`crate::absint`]).
@@ -282,7 +287,13 @@ impl Tape {
                 continue;
             }
 
-            match node.op.infer_shape(&shapes) {
+            // Leaves have no inputs to check a shape against.
+            if shapes.is_empty() {
+                continue;
+            }
+            let ins: Vec<AbsVal> =
+                shapes.iter().map(|&(r, c)| AbsVal::top(Dim::Const(r), Dim::Const(c))).collect();
+            match node.op.transfer(&ins) {
                 Err(msg) => findings.push(Finding {
                     kind: FindingKind::ShapeMismatch,
                     severity: Severity::Error,
@@ -290,26 +301,25 @@ impl Tape {
                     op: Some(op_name),
                     message: format!("inconsistent input shapes {shapes:?}: {msg}"),
                 }),
-                Ok(Some(expected)) => {
+                Ok(out) => {
                     let actual = node.value.shape();
-                    if actual != expected {
+                    let differs = |d: Dim, n: usize| d.known().is_some_and(|k| k != n);
+                    if differs(out.rows, actual.0) || differs(out.cols, actual.1) {
                         findings.push(Finding {
                             kind: FindingKind::ShapeMismatch,
                             severity: Severity::Error,
                             node: Some(i),
                             op: Some(op_name),
                             message: format!(
-                                "inputs {shapes:?} infer output {expected:?} \
-                                 but recorded value is {actual:?}"
+                                "inputs {shapes:?} infer output ({}, {}) \
+                                 but recorded value is {actual:?}",
+                                out.rows, out.cols
                             ),
                         });
-                    }
-                }
-                // Leaves legitimately decline (they have no inputs to infer
-                // from); a non-leaf declining means the shape pass has a
-                // blind spot, which must be visible, not silently skipped.
-                Ok(None) => {
-                    if !shapes.is_empty() {
+                    } else if out.rows.known().is_none() || out.cols.known().is_none() {
+                        // Concrete inputs that leave the output shape open
+                        // mean the shape pass has a blind spot, which must
+                        // be visible, not silently skipped.
                         findings.push(Finding {
                             kind: FindingKind::ShapeUnknown,
                             severity: Severity::Warning,
@@ -553,12 +563,9 @@ mod tests {
             fn arity(&self) -> Arity {
                 Arity::Exact(1)
             }
-            fn infer_shape(
-                &self,
-                inputs: &[(usize, usize)],
-            ) -> Result<Option<(usize, usize)>, String> {
+            fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
                 // Declares a transpose...
-                Ok(Some((inputs[0].1, inputs[0].0)))
+                Ok(AbsVal::top(inputs[0].cols, inputs[0].rows))
             }
         }
 
@@ -601,12 +608,9 @@ mod tests {
             fn arity(&self) -> Arity {
                 Arity::Exact(1)
             }
-            fn infer_shape(
-                &self,
-                _inputs: &[(usize, usize)],
-            ) -> Result<Option<(usize, usize)>, String> {
+            fn transfer(&self, _inputs: &[AbsVal]) -> Result<AbsVal, String> {
                 // Dynamic output arity: refuses to commit to a shape.
-                Ok(None)
+                Ok(AbsVal::top(Dim::Any, Dim::Any))
             }
         }
 
@@ -622,7 +626,7 @@ mod tests {
         assert_eq!(f[0].severity, Severity::Warning);
         // A warning, not an error: the tape is suspect but not provably broken.
         assert!(!report.has_errors(), "{report}");
-        // Leaves (constants here) also return `Ok(None)` but must stay silent.
+        // Leaves (constants here) have no inputs to check and must stay silent.
         assert!(!report.findings.iter().any(|f| f.node == Some(x.index())));
     }
 

@@ -85,6 +85,9 @@ pub mod ops {
     pub(crate) mod linalg;
     pub(crate) mod loss;
 
+    #[cfg(test)]
+    mod contract;
+
     pub use graphops::Segments;
 }
 

@@ -14,22 +14,6 @@ use crate::matrix::Matrix;
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
-
-/// Shape transfer for elementwise binary ops: both operands must match and
-/// the output keeps their shape.
-fn infer_same_shape_binary(inputs: &[(usize, usize)]) -> InferredShape {
-    if inputs[0] != inputs[1] {
-        return Err(format!("operands must match: {:?} vs {:?}", inputs[0], inputs[1]));
-    }
-    Ok(Some(inputs[0]))
-}
-
-/// Shape transfer for elementwise unary ops: output keeps the input shape.
-fn infer_unary_identity(inputs: &[(usize, usize)]) -> InferredShape {
-    Ok(Some(inputs[0]))
-}
-
 fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
     assert_eq!(
         tape.value(a).shape(),
@@ -56,9 +40,6 @@ impl Op for AddOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -88,9 +69,6 @@ impl Op for SubOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -127,9 +105,6 @@ impl Op for MulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::INPUTS_ONLY
     }
@@ -158,9 +133,6 @@ impl Op for ScaleOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -199,9 +171,6 @@ impl Op for AddScalarOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -246,12 +215,6 @@ impl Op for MulScalarTensorOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs[1] != (1, 1) {
-            return Err(format!("scale must be 1x1, got {:?}", inputs[1]));
-        }
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let (a, s) = (&inputs[0], &inputs[1]);
         require_compatible("mul_scalar_tensor: scale rows", s.rows, Dim::Const(1))?;
@@ -290,9 +253,6 @@ impl Op for ReluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -325,9 +285,6 @@ impl Op for LeakyReluOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::inputs_at(&[0])
@@ -371,9 +328,6 @@ impl Op for EluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -409,9 +363,6 @@ impl Op for TanhOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -442,9 +393,6 @@ impl Op for SigmoidOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
@@ -485,9 +433,6 @@ impl Op for AbsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::inputs_at(&[0])
     }
@@ -524,13 +469,6 @@ impl Op for DropoutOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (r, c) = inputs[0];
-        if self.mask.len() != r * c {
-            return Err(format!("saved mask has {} entries for a {r}x{c} input", self.mask.len()));
-        }
-        Ok(Some(inputs[0]))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];

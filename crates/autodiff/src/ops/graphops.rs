@@ -22,7 +22,6 @@ use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, para
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
 type Transferred = Result<AbsVal, String>;
 
 /// Segment-boundary invariant shared by every segment transfer: the input's
@@ -177,14 +176,6 @@ impl Op for GatherRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= rows) {
-            // lint:allow(lossy-cast) -- u32 index widens losslessly
-            return Err(format!("index {bad} out of bounds for {rows} source rows"));
-        }
-        Ok(Some((self.idx.len(), cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         if let Some(rows) = a.rows.known() {
@@ -242,9 +233,6 @@ impl Op for SegmentSumOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_segment_reduce(&self.segs, inputs)
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -315,9 +303,6 @@ impl Op for SegmentMeanOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_segment_reduce(&self.segs, inputs)
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -393,19 +378,17 @@ impl Op for SegmentMaxOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let cols = inputs[0].1;
-        if cols == 0 || !self.winners.len().is_multiple_of(cols) {
-            return Err(format!(
-                "saved {} winner indices for inputs with {cols} columns",
-                self.winners.len()
-            ));
-        }
-        Ok(Some((self.winners.len() / cols, cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         require_segment_cover("segment_max", &self.segs, a.rows)?;
+        if let Some(cols) = a.cols.known() {
+            if self.winners.len() != self.segs.num_segments() * cols {
+                return Err(format!(
+                    "segment_max: saved {} winner indices for inputs with {cols} columns",
+                    self.winners.len()
+                ));
+            }
+        }
         let (min_len, _) = segment_len_bounds(&self.segs);
         let mut range = a.range;
         if min_len == 0 {
@@ -460,19 +443,6 @@ impl Op for SegmentSoftmaxOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if cols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if rows != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {rows} edges but segments cover {}",
-                self.segs.total_len()
-            ));
-        }
-        Ok(Some(inputs[0]))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -599,20 +569,6 @@ impl Op for SegmentAttentionOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (srows, scols) = inputs[0];
-        let (mrows, cols) = inputs[1];
-        if scols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if srows != self.segs.total_len() || mrows != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {srows} and messages {mrows} edges but segments cover {}",
-                self.segs.total_len()
-            ));
-        }
-        Ok(Some((self.segs.num_segments(), cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (s, m) = (&inputs[0], &inputs[1]);
         require_compatible(
@@ -720,25 +676,6 @@ impl Op for GatherAttentionOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (srows, scols) = inputs[0];
-        let (xrows, cols) = inputs[1];
-        if scols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if srows != self.segs.total_len() || self.idx.len() != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {srows} and indices {} edges but segments cover {}",
-                self.idx.len(),
-                self.segs.total_len()
-            ));
-        }
-        if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= xrows) {
-            // lint:allow(lossy-cast) -- u32 index widens losslessly
-            return Err(format!("index {bad} out of bounds for {xrows} source rows"));
-        }
-        Ok(Some((self.segs.num_segments(), cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (s, x) = (&inputs[0], &inputs[1]);
         require_compatible(
@@ -819,15 +756,6 @@ impl Op for MulColBroadcastOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs[1] != (inputs[0].0, 1) {
-            return Err(format!(
-                "weights must be {} x 1 for a {:?} input, got {:?}",
-                inputs[0].0, inputs[0], inputs[1]
-            ));
-        }
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (a, w) = (&inputs[0], &inputs[1]);
         require_compatible("mul_col_broadcast: weight rows must match the input", w.rows, a.rows)?;
@@ -845,16 +773,6 @@ impl Op for MulColBroadcastOp {
             inf_free: finite_arith(range, &[a, w]),
         })
     }
-}
-
-/// Shared shape transfer for segment reductions: the input covers every
-/// segmented element, the output has one row per segment.
-fn infer_segment_reduce(segs: &Segments, inputs: &[(usize, usize)]) -> InferredShape {
-    let (rows, cols) = inputs[0];
-    if rows != segs.total_len() {
-        return Err(format!("input has {rows} rows but segments cover {}", segs.total_len()));
-    }
-    Ok(Some((segs.num_segments(), cols)))
 }
 
 impl Tape {

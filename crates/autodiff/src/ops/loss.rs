@@ -15,7 +15,6 @@ use crate::ops::linalg::softmax_rows_value;
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
 type Transferred = Result<AbsVal, String>;
 
 /// Mean softmax cross-entropy over a subset of rows.
@@ -67,20 +66,6 @@ impl Op for CrossEntropyOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (n, c) = inputs[0];
-        if self.labels.len() != n {
-            return Err(format!("{} labels for {n} logit rows", self.labels.len()));
-        }
-        if self.probs.shape() != (self.rows.len(), c) {
-            return Err(format!(
-                "saved probabilities are {:?} for {} selected rows of {c} classes",
-                self.probs.shape(),
-                self.rows.len()
-            ));
-        }
-        Ok(Some((1, 1)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         require_compatible(
@@ -98,6 +83,13 @@ impl Op for CrossEntropyOp {
             }
         }
         if let Some(c) = a.cols.known() {
+            if self.probs.shape() != (self.rows.len(), c) {
+                return Err(format!(
+                    "cross_entropy: saved probabilities are {:?} for {} selected rows of {c} classes",
+                    self.probs.shape(),
+                    self.rows.len()
+                ));
+            }
             for &r in self.rows.iter() {
                 let label = self.labels[r as usize] as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
                 if label >= c {
@@ -156,16 +148,6 @@ impl Op for BceWithLogitsOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if self.targets.shape() != inputs[0] {
-            return Err(format!(
-                "targets are {:?} but logits are {:?}",
-                self.targets.shape(),
-                inputs[0]
-            ));
-        }
-        Ok(Some((1, 1)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];

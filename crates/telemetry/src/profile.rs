@@ -509,9 +509,31 @@ mod tests {
             .unwrap_or_else(|| panic!("no frame {path:?}"))
     }
 
+    /// The span tree of [`busy_trace`] with fixed timestamps, so the
+    /// attribution figures are exact rather than at the mercy of the
+    /// scheduler: 12 ms of spans in a 12.5 ms run.
+    const FIXED_SPAN_TREE: [&str; 16] = [
+        r#"{"kind":"run_start","t_ns":0,"level":"info","run":"prof"}"#,
+        r#"{"kind":"span_open","t_ns":100000,"level":"debug","id":1,"name":"search"}"#,
+        r#"{"kind":"span_open","t_ns":200000,"level":"debug","id":2,"parent":1,"name":"search.epoch"}"#,
+        r#"{"kind":"span_open","t_ns":300000,"level":"debug","id":3,"parent":2,"phase":"arch_step","name":"search.arch_step"}"#,
+        r#"{"kind":"span_close","t_ns":2500000,"level":"debug","id":3,"name":"search.arch_step","elapsed_ns":2200000}"#,
+        r#"{"kind":"span_open","t_ns":2600000,"level":"debug","id":4,"parent":2,"phase":"weight_step","name":"search.weight_step"}"#,
+        r#"{"kind":"span_close","t_ns":5900000,"level":"debug","id":4,"name":"search.weight_step","elapsed_ns":3300000}"#,
+        r#"{"kind":"span_close","t_ns":6000000,"level":"debug","id":2,"name":"search.epoch","elapsed_ns":5800000}"#,
+        r#"{"kind":"span_open","t_ns":6100000,"level":"debug","id":5,"parent":1,"name":"search.epoch"}"#,
+        r#"{"kind":"span_open","t_ns":6150000,"level":"debug","id":6,"parent":5,"phase":"arch_step","name":"search.arch_step"}"#,
+        r#"{"kind":"span_close","t_ns":8450000,"level":"debug","id":6,"name":"search.arch_step","elapsed_ns":2300000}"#,
+        r#"{"kind":"span_open","t_ns":8500000,"level":"debug","id":7,"parent":5,"phase":"weight_step","name":"search.weight_step"}"#,
+        r#"{"kind":"span_close","t_ns":11900000,"level":"debug","id":7,"name":"search.weight_step","elapsed_ns":3400000}"#,
+        r#"{"kind":"span_close","t_ns":12000000,"level":"debug","id":5,"name":"search.epoch","elapsed_ns":5900000}"#,
+        r#"{"kind":"span_close","t_ns":12100000,"level":"debug","id":1,"name":"search","elapsed_ns":12000000}"#,
+        r#"{"kind":"run_end","t_ns":12500000,"level":"info","elapsed_ns":12500000,"open_spans":0}"#,
+    ];
+
     #[test]
     fn span_tree_attribution_is_additive() {
-        let p = profile(&busy_trace()).expect("valid trace");
+        let p = profile(&FIXED_SPAN_TREE.join("\n")).expect("valid trace");
         assert_eq!(p.run, "prof");
         let search = frame(&p, &["search"]);
         let epoch = frame(&p, &["search", "search.epoch"]);
@@ -526,8 +548,8 @@ mod tests {
         assert!(epoch.total_ns >= arch.total_ns + weight.total_ns);
         assert_eq!(search.self_ns, search.total_ns - epoch.total_ns);
         assert_eq!(epoch.self_ns, epoch.total_ns - arch.total_ns - weight.total_ns);
-        // Nearly all wall time is inside the spans here.
-        assert!(p.attributed_fraction() > 0.9, "{}", p.attributed_fraction());
+        // 12 ms of the 12.5 ms run is inside the top-level span.
+        assert_eq!(p.attributed_fraction(), 0.96);
     }
 
     #[test]
